@@ -320,15 +320,13 @@ struct ServiceLoad {
     qps: f64,
 }
 
-/// The `service` block: saturation throughput at 1/2/4 clients vs the
-/// *direct* engine path at the same client count and spec, queue-wait
-/// percentiles at saturation, and a deliberately-overloaded run showing
-/// admission control shedding.
+/// The `service` block: saturation throughput at 1/2/4 clients,
+/// queue-wait percentiles at saturation, and a deliberately-overloaded
+/// run showing admission control shedding.
 struct ServiceMetrics {
     workers: usize,
     queue_depth: usize,
     loads: Vec<ServiceLoad>,
-    direct_qps_equal_clients: f64,
     wait_p50_us: u64,
     wait_p99_us: u64,
     overload_queue_depth: usize,
@@ -337,27 +335,6 @@ struct ServiceMetrics {
     overload_shed: u64,
     deadline_plain_qps: f64,
     deadline_stamped_qps: f64,
-}
-
-/// Direct-path reference at `clients` threads: the same spec hammered via
-/// `Dtas::synthesize` (every hit deep-clones the result set out).
-fn direct_concurrent_qps(
-    engine: &Dtas,
-    spec: &ComponentSpec,
-    clients: usize,
-    per_client: usize,
-) -> f64 {
-    let t0 = Instant::now();
-    std::thread::scope(|scope| {
-        for _ in 0..clients {
-            scope.spawn(|| {
-                for _ in 0..per_client {
-                    engine.run(spec).expect("hits");
-                }
-            });
-        }
-    });
-    (clients * per_client) as f64 / t0.elapsed().as_secs_f64()
 }
 
 /// One saturation run: `clients` threads pipelining `per_client` memo
@@ -480,16 +457,7 @@ fn service_metrics(engine: &Arc<Dtas>, spec: &ComponentSpec) -> ServiceMetrics {
         }
     }
     waits_us.sort_unstable();
-
     let max_clients = *client_counts.last().expect("nonempty");
-    let direct_qps_equal_clients = direct_concurrent_qps(engine, spec, max_clients, per_client);
-    // Since `Dtas::run` delivers `Arc`s on the direct path too, the
-    // service no longer out-runs it — a queue hand-off costs more than
-    // an Arc clone, and the service's value is admission control,
-    // deadlines, and checkpointing, not raw hit throughput. The emitted
-    // `service_vs_direct` field reports the ratio for trend-watching;
-    // regressions are caught by the perf gate's baseline comparison of
-    // `service.saturation_qps`.
 
     // Deliberate overload: an undersized queue with ShedOldest must shed
     // (admission control visibly working) while everything still resolves.
@@ -571,7 +539,6 @@ fn service_metrics(engine: &Arc<Dtas>, spec: &ComponentSpec) -> ServiceMetrics {
         workers,
         queue_depth,
         loads,
-        direct_qps_equal_clients,
         wait_p50_us: percentile(&waits_us, 50.0),
         wait_p99_us: percentile(&waits_us, 99.0),
         overload_queue_depth,
@@ -882,13 +849,7 @@ fn main() {
     }
     let _ = writeln!(json, "    ],");
     let saturation_qps = service.loads.last().map(|l| l.qps).unwrap_or(0.0);
-    let _ = writeln!(
-        json,
-        "    \"saturation_qps\": {:.0}, \"direct_qps_equal_clients\": {:.0}, \"service_vs_direct\": {:.3},",
-        saturation_qps,
-        service.direct_qps_equal_clients,
-        saturation_qps / service.direct_qps_equal_clients.max(1e-9)
-    );
+    let _ = writeln!(json, "    \"saturation_qps\": {saturation_qps:.0},");
     let _ = writeln!(
         json,
         "    \"queue_wait_p50_us\": {}, \"queue_wait_p99_us\": {},",
@@ -912,7 +873,7 @@ fn main() {
     );
     let _ = writeln!(
         json,
-        "    \"note\": \"saturation: clients pipeline batches of ALU64 memo hits through DtasService (Arc delivery); service_vs_direct is reported for trend-watching only — since Dtas::run also delivers Arcs on the direct path, the queue hand-off makes the ratio < 1 by design. overload: an undersized ShedOldest queue must shed (shed > 0 asserted) while every ticket still resolves. deadline: the same saturation with every request stamped with a far-future deadline (interleaved best-of-3 per side); deadline_vs_plain >= 0.95 is asserted here and re-gated from the stored field\""
+        "    \"note\": \"saturation: clients pipeline batches of ALU64 memo hits through DtasService (Arc delivery). overload: an undersized ShedOldest queue must shed (shed > 0 asserted) while every ticket still resolves. deadline: the same saturation with every request stamped with a far-future deadline (interleaved best-of-3 per side); deadline_vs_plain >= 0.95 is asserted here and re-gated from the stored field\""
     );
     let _ = writeln!(json, "  }},");
     let _ = writeln!(json, "  \"serve\": {{");

@@ -27,7 +27,7 @@ pub struct DtasConfig {
     pub threads: Option<usize>,
     /// Engine-level cross-query memoization: when on (the default),
     /// design spaces, node fronts and whole result sets persist inside
-    /// [`Dtas`](crate::Dtas) across `synthesize` calls, so repeated
+    /// [`Dtas`](crate::Dtas) across [`run`](crate::Dtas::run) calls, so repeated
     /// specs — and shared sub-specs under *different* roots — are solved
     /// once per engine lifetime. Turn off to ablate (every query starts
     /// cold).

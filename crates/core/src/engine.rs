@@ -28,11 +28,11 @@ use std::time::Instant;
 /// store.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// `synthesize` calls answered entirely from the result memo
+    /// [`Dtas::run`] queries answered entirely from the result memo
     /// (including callers that blocked on another client's in-flight
     /// solve of the same spec and were served its result).
     pub hits: u64,
-    /// `synthesize` calls that had to solve (possibly reusing sub-spec
+    /// [`Dtas::run`] queries that had to solve (possibly reusing sub-spec
     /// fronts from earlier queries).
     pub misses: u64,
     /// Whole result sets currently memoized.
@@ -158,7 +158,7 @@ impl CheckpointOutcome {
     }
 }
 
-/// Errors produced by [`Dtas::synthesize`].
+/// Errors produced by [`Dtas::run`].
 #[derive(Clone, Debug, PartialEq)]
 pub enum SynthError {
     /// Design-space expansion failed (a rule or spec defect).
@@ -454,8 +454,7 @@ pub struct Dtas {
 /// rule base, configuration and snapshot backend. Once built, the engine
 /// is immutable except through [`Dtas::update_rules`] /
 /// [`Dtas::update_config`], which invalidate *only* the affected cached
-/// state and say exactly what they did ([`InvalidationReport`]) — unlike
-/// the retired consuming `with_*` chain, which silently reset everything.
+/// state and say exactly what they did ([`InvalidationReport`]).
 pub struct DtasBuilder {
     library: CellLibrary,
     rules: Option<RuleSet>,
@@ -541,57 +540,6 @@ impl Dtas {
                 ..DtasConfig::default()
             })
             .build()
-    }
-
-    /// Replaces the rule base, dropping **all** cached synthesis state.
-    #[deprecated(
-        note = "use Dtas::builder(..).rules(..) to construct, or Dtas::update_rules for \
-                delta invalidation that keeps unaffected state warm"
-    )]
-    pub fn with_rules(mut self, rules: RuleSet) -> Self {
-        self.rules = rules;
-        self.reset_runtime_state();
-        self.try_warm_load();
-        self
-    }
-
-    /// Replaces the configuration, dropping **all** cached synthesis
-    /// state and rebinding the store from [`DtasConfig::persist_path`].
-    #[deprecated(
-        note = "use Dtas::builder(..).config(..) to construct, or Dtas::update_config for \
-                delta invalidation that keeps unaffected state warm"
-    )]
-    pub fn with_config(mut self, config: DtasConfig) -> Self {
-        self.config = config;
-        self.reset_runtime_state();
-        self.store = self
-            .config
-            .persist_path
-            .as_ref()
-            .map(|dir| Arc::new(PersistentStore::new(dir)) as Arc<dyn ResultStore>);
-        self.try_warm_load();
-        self
-    }
-
-    /// Binds an explicit snapshot backend (overriding any
-    /// [`DtasConfig::persist_path`] binding) and warm-starts from it,
-    /// dropping all cached synthesis state first.
-    #[deprecated(note = "use Dtas::builder(..).store(..)")]
-    pub fn with_store(mut self, store: Arc<dyn ResultStore>) -> Self {
-        self.reset_runtime_state();
-        self.store = Some(store);
-        self.try_warm_load();
-        self
-    }
-
-    /// Fresh (empty) synchronized state, counters included. Used by the
-    /// deprecated consuming builders before they re-bind / re-load.
-    fn reset_runtime_state(&mut self) {
-        self.mem = MemStore::new();
-        self.metrics.reset();
-        self.canon.clear();
-        *self.lock_warm() = WarmState::default();
-        *self.lock_flush() = FlushState::default();
     }
 
     /// Replaces the rule base **in place**, invalidating only the cached
@@ -1457,7 +1405,7 @@ impl Dtas {
         if !request.has_front_overrides() && request.weights.is_none() {
             self.shared_result(&request.spec, start)
         } else {
-            self.override_result(&request, start).map(Arc::new)
+            self.override_result(&request, start)
         }
     }
 
@@ -1470,15 +1418,12 @@ impl Dtas {
         start: Instant,
     ) -> Result<Arc<DesignSet>, SynthError> {
         if !self.config.cache {
-            // Ablation path: nothing is keyed, so nothing to canonicalize.
-            return self.synthesize_shared_from(spec, start);
+            // Ablation path: cold state per query, nothing keyed or
+            // retained, so nothing to canonicalize.
+            return self.solve_cold(spec, self.root_shape(), start);
         }
         let canonical = self.canon.canonical(spec, &self.rules, &self.library);
-        canon::rewrite_result(
-            self.synthesize_shared_from(&canonical, start),
-            spec,
-            &canonical,
-        )
+        canon::rewrite_result(self.memo_result(&canonical, start), spec, &canonical)
     }
 
     /// The override path behind [`run`](Self::run): a private root front
@@ -1489,85 +1434,54 @@ impl Dtas {
         &self,
         request: &SynthRequest,
         start: Instant,
-    ) -> Result<DesignSet, SynthError> {
-        let mut set = if !request.has_front_overrides() {
-            Self::deliver(&self.shared_result(&request.spec, start), start)?
+    ) -> Result<Arc<DesignSet>, SynthError> {
+        let solved = if !request.has_front_overrides() {
+            self.shared_result(&request.spec, start)
         } else {
-            let root_filter = request.root_filter.unwrap_or(self.config.root_filter);
-            let root_cap = request.root_cap.unwrap_or(self.config.root_cap);
+            let shape = (
+                request.root_filter.unwrap_or(self.config.root_filter),
+                request.root_cap.unwrap_or(self.config.root_cap),
+            );
             if !self.config.cache {
-                let mut state = SharedState::default();
-                self.solve_in(&request.spec, &mut state, root_filter, root_cap, start)?
+                self.solve_cold(&request.spec, shape, start)
             } else {
                 self.check_fingerprint();
                 self.mem.misses.fetch_add(1, Ordering::Relaxed);
-                let solved = self.solve_shared_with(&request.spec, root_filter, root_cap, start);
+                let solved = Self::single(self.batch_shared(&[&request.spec], shape, start));
                 // Settle even on error: the solve may have grown shared
                 // space/fronts that the next checkpoint should consider.
                 self.mem.settled.fetch_add(1, Ordering::Relaxed);
-                solved?
+                solved
             }
         };
-        if let Some((area_weight, delay_weight)) = request.weights {
-            let score = |a: &Alternative| area_weight * a.area + delay_weight * a.delay;
-            // total_cmp keeps the comparator a total order even if a
-            // caller passes non-finite weights (NaN scores would make a
-            // partial_cmp-based sort panic since Rust 1.81).
-            set.alternatives.sort_by(|a, b| {
-                score(a)
-                    .total_cmp(&score(b))
-                    .then(a.area.total_cmp(&b.area))
-                    .then(a.delay.total_cmp(&b.delay))
-            });
-        }
-        Ok(set)
+        let Some((area_weight, delay_weight)) = request.weights else {
+            return solved;
+        };
+        // A memoized set is shared, so it is sorted in a private clone (a
+        // fresh solve's set is unshared and moves out without one).
+        let mut set = Arc::unwrap_or_clone(solved?);
+        set.stats.elapsed = start.elapsed();
+        let score = |a: &Alternative| area_weight * a.area + delay_weight * a.delay;
+        // total_cmp keeps the comparator a total order even if a
+        // caller passes non-finite weights (NaN scores would make a
+        // partial_cmp-based sort panic since Rust 1.81).
+        set.alternatives.sort_by(|a, b| {
+            score(a)
+                .total_cmp(&score(b))
+                .then(a.area.total_cmp(&b.area))
+                .then(a.delay.total_cmp(&b.delay))
+        });
+        Ok(Arc::new(set))
     }
 
-    /// Synthesizes one component specification into a set of alternative
-    /// library-specific implementations.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`run`](Self::run).
-    #[deprecated(note = "use Dtas::run (deep-clone the Arc if you need an owned set)")]
-    pub fn synthesize(&self, spec: &ComponentSpec) -> Result<DesignSet, SynthError> {
-        let start = Instant::now();
-        Self::deliver(&self.run(spec), start)
-    }
-
-    /// Like the retired `synthesize`, with `Arc` delivery.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`run`](Self::run).
-    #[deprecated(note = "use Dtas::run")]
-    pub fn synthesize_shared(&self, spec: &ComponentSpec) -> Result<Arc<DesignSet>, SynthError> {
-        self.run(spec)
-    }
-
-    /// Runs a [`SynthRequest`] with `Arc` delivery.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`run`](Self::run).
-    #[deprecated(note = "use Dtas::run")]
-    pub fn synthesize_request_shared(
-        &self,
-        request: &SynthRequest,
-    ) -> Result<Arc<DesignSet>, SynthError> {
-        self.run(request)
-    }
-
-    fn synthesize_shared_from(
+    /// The memo behind [`shared_result`](Self::shared_result): a hit, a
+    /// lazily decoded persisted result, or one cold solve per spec that
+    /// concurrent callers of the same spec wait on.
+    fn memo_result(
         &self,
         spec: &ComponentSpec,
         start: Instant,
     ) -> Result<Arc<DesignSet>, SynthError> {
-        if !self.config.cache {
-            // Ablation path: cold state per query, nothing retained.
-            let mut state = SharedState::default();
-            return self.synthesize_in(spec, &mut state, start).map(Arc::new);
-        }
         self.check_fingerprint();
         let cell = self.mem.result_cell(spec);
         if let Some(result) = cell.get() {
@@ -1586,7 +1500,7 @@ impl Dtas {
         let result = cell.get_or_init(|| {
             solved_here = true;
             self.mem.misses.fetch_add(1, Ordering::Relaxed);
-            self.solve_shared(spec, start).map(Arc::new)
+            Self::single(self.batch_shared(&[spec], self.root_shape(), start))
         });
         if solved_here {
             // Only now — with the result in its cell and the fronts
@@ -1598,17 +1512,6 @@ impl Dtas {
             self.mem.hits.fetch_add(1, Ordering::Relaxed);
         }
         result.clone()
-    }
-
-    /// Runs a [`SynthRequest`] with owned delivery.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`run`](Self::run).
-    #[deprecated(note = "use Dtas::run (deep-clone the Arc if you need an owned set)")]
-    pub fn synthesize_request(&self, request: &SynthRequest) -> Result<DesignSet, SynthError> {
-        let start = Instant::now();
-        Self::deliver(&self.run(request), start)
     }
 
     /// Synthesizes a whole batch of specifications in one shared-space
@@ -1634,7 +1537,7 @@ impl Dtas {
                 }
             }
             let mut state = SharedState::default();
-            let results = self.batch_in(&distinct, &mut state, start);
+            let results = self.batch_in(&distinct, &mut state, self.root_shape(), start);
             return specs
                 .iter()
                 .map(|spec| results[slot_of[spec]].clone())
@@ -1695,52 +1598,8 @@ impl Dtas {
         Ok(out)
     }
 
-    /// Batch synthesis with owned delivery.
-    #[deprecated(note = "use Dtas::run_batch (Arc delivery)")]
-    pub fn synthesize_batch(&self, specs: &[ComponentSpec]) -> Vec<Result<DesignSet, SynthError>> {
-        let start = Instant::now();
-        self.run_batch(specs)
-            .iter()
-            .map(|result| Self::deliver(result, start))
-            .collect()
-    }
-
-    /// Netlist synthesis with owned delivery.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`run_netlist`](Self::run_netlist).
-    #[deprecated(note = "use Dtas::run_netlist (Arc delivery)")]
-    pub fn synthesize_netlist(
-        &self,
-        netlist: &Netlist,
-    ) -> Result<BTreeMap<String, DesignSet>, SynthError> {
-        let start = Instant::now();
-        let mut out = BTreeMap::new();
-        for (key, set) in self.run_netlist(netlist)? {
-            out.insert(key, Self::deliver(&Ok(set), start)?);
-        }
-        Ok(out)
-    }
-
     // ------------------------------------------------------------------
     // Solve internals.
-
-    /// Clones a memoized (or just-computed) result out to the caller,
-    /// restamping the elapsed wall time with this call's own.
-    fn deliver(
-        result: &Result<Arc<DesignSet>, SynthError>,
-        start: Instant,
-    ) -> Result<DesignSet, SynthError> {
-        match result {
-            Ok(set) => {
-                let mut set = DesignSet::clone(set);
-                set.stats.elapsed = start.elapsed();
-                Ok(set)
-            }
-            Err(e) => Err(e.clone()),
-        }
-    }
 
     /// The library is privately owned and immutable behind `&self`, so the
     /// fingerprint captured in `new()` keys every cached entry; rehashing
@@ -1774,107 +1633,27 @@ impl Dtas {
             })
     }
 
-    /// Cold-solve pipeline over a private state (the ablation path and the
-    /// fallback for taint-affected queries).
-    fn synthesize_in(
-        &self,
-        spec: &ComponentSpec,
-        state: &mut SharedState,
-        start: Instant,
-    ) -> Result<DesignSet, SynthError> {
-        self.solve_in(
-            spec,
-            state,
-            self.config.root_filter,
-            self.config.root_cap,
-            start,
-        )
+    /// The configured root front shape: filter and cap.
+    fn root_shape(&self) -> (FilterPolicy, usize) {
+        (self.config.root_filter, self.config.root_cap)
     }
 
-    /// Like [`synthesize_in`](Self::synthesize_in) with explicit root
-    /// filter/cap (per-request overrides).
-    fn solve_in(
-        &self,
-        spec: &ComponentSpec,
-        state: &mut SharedState,
-        root_filter: FilterPolicy,
-        root_cap: usize,
-        start: Instant,
-    ) -> Result<DesignSet, SynthError> {
-        let root = self.expand_in(spec, state)?;
-        let fronts = std::mem::take(&mut state.fronts);
-        let mut solver = Solver::with_front_store(&state.space, self.solve_config(), fronts)
-            .with_threads(self.thread_count());
-        solver.solve(root, &state.models);
-        let result = self.assemble(
-            spec,
-            root,
-            &state.space,
-            &mut solver,
-            &state.models,
-            root_filter,
-            root_cap,
-            start,
-        );
-        state.fronts = solver.into_front_store();
-        result
+    /// The result of a one-spec batch.
+    fn single(
+        mut results: Vec<Result<Arc<DesignSet>, SynthError>>,
+    ) -> Result<Arc<DesignSet>, SynthError> {
+        results.pop().expect("one result per spec")
     }
 
-    /// The shared-space cold path for one spec: expand under a brief
-    /// exclusive lock, solve against a private snapshot with no lock held,
-    /// then merge the solved fronts back.
-    fn solve_shared(&self, spec: &ComponentSpec, start: Instant) -> Result<DesignSet, SynthError> {
-        self.solve_shared_with(spec, self.config.root_filter, self.config.root_cap, start)
-    }
-
-    fn solve_shared_with(
+    /// Solves one spec from a fresh private state (the cache-off paths and
+    /// the taint fallback): identical to a fresh engine's answer.
+    fn solve_cold(
         &self,
         spec: &ComponentSpec,
-        root_filter: FilterPolicy,
-        root_cap: usize,
+        shape: (FilterPolicy, usize),
         start: Instant,
-    ) -> Result<DesignSet, SynthError> {
-        // Growing the space requires the persisted space first: hydrating
-        // after an expansion would mis-align persisted node ids.
-        self.ensure_hydrated();
-        let (space, fronts, models, generation, root) = {
-            let mut state = self.mem.write_state();
-            let first_new = state.space.nodes.len();
-            let root = self.expand_in(spec, &mut state)?;
-            // Mutually-recursive rules drop whichever template closes a
-            // cycle, so nodes expanded under an *earlier* root may carry a
-            // different root's cuts; if this query's subgraph reaches any
-            // such pre-existing node, solve it from a cold space instead
-            // (identical to a fresh engine). The frozen result is
-            // spec-keyed, so it is safe to memoize either way.
-            if state.space.tainted_before(root, first_new) {
-                drop(state);
-                let mut cold = SharedState::default();
-                return self.solve_in(spec, &mut cold, root_filter, root_cap, start);
-            }
-            (
-                state.space.clone(),
-                state.fronts.snapshot(),
-                state.models.clone(),
-                state.generation,
-                root,
-            )
-        };
-        let mut solver = Solver::with_front_store(&space, self.solve_config(), fronts)
-            .with_threads(self.thread_count());
-        solver.solve(root, &models);
-        let result = self.assemble(
-            spec,
-            root,
-            &space,
-            &mut solver,
-            &models,
-            root_filter,
-            root_cap,
-            start,
-        );
-        self.absorb_fronts(solver.into_front_store(), generation);
-        result
+    ) -> Result<Arc<DesignSet>, SynthError> {
+        Self::single(self.batch_in(&[spec], &mut SharedState::default(), shape, start))
     }
 
     /// Merges fronts solved against a snapshot back into the shared
@@ -1907,7 +1686,7 @@ impl Dtas {
                 out[i] = Some(result.clone());
             } else if let Some(result) = self.warm_materialize(spec) {
                 // Persisted result decoded on first request — a hit,
-                // exactly as in `synthesize_shared_from`.
+                // exactly as in `memo_result`.
                 self.mem.hits.fetch_add(1, Ordering::Relaxed);
                 out[i] = Some(cell.get_or_init(|| result).clone());
             } else {
@@ -1917,7 +1696,7 @@ impl Dtas {
         }
         if !cold.is_empty() {
             let cold_specs: Vec<&ComponentSpec> = cold.iter().map(|&i| distinct[i]).collect();
-            let solved = self.batch_shared(&cold_specs, start);
+            let solved = self.batch_shared(&cold_specs, self.root_shape(), start);
             for (&i, result) in cold.iter().zip(solved) {
                 // Memoize through the cell: if another client raced us to
                 // this spec, its (bit-identical) result stands and ours is
@@ -1935,20 +1714,28 @@ impl Dtas {
             .collect()
     }
 
-    /// Expands + solves a set of distinct cold specs against the shared
-    /// space (snapshot solve, fronts merged back under the generation
-    /// guard).
+    /// The shared-space cold path for distinct cold specs under one root
+    /// shape: expand under a brief exclusive lock, solve against a private
+    /// snapshot with no lock held, then merge the solved fronts back under
+    /// the generation guard.
     fn batch_shared(
         &self,
         specs: &[&ComponentSpec],
+        shape: (FilterPolicy, usize),
         start: Instant,
     ) -> Vec<Result<Arc<DesignSet>, SynthError>> {
-        // As in `solve_shared_with`: the persisted space must be in place
-        // before this batch's expansions append nodes.
+        // Growing the space requires the persisted space first: hydrating
+        // after an expansion would mis-align persisted node ids.
         self.ensure_hydrated();
         let (space, fronts, models, generation, mut plan) = {
             let mut state = self.mem.write_state();
             let plan = self.expand_batch(specs, &mut state);
+            if plan.roots.is_empty() {
+                // Only failures and taint fallbacks: nothing to snapshot,
+                // solve or merge back.
+                drop(state);
+                return self.finish_batch(specs, plan, shape, start);
+            }
             (
                 state.space.clone(),
                 state.fronts.snapshot(),
@@ -1957,9 +1744,9 @@ impl Dtas {
                 plan,
             )
         };
-        let solved = self.solve_batch(specs, &mut plan, &space, fronts, &models, start);
+        let solved = self.solve_batch(specs, &mut plan, &space, fronts, &models, shape, start);
         self.absorb_fronts(solved, generation);
-        self.finish_batch(specs, plan, start)
+        self.finish_batch(specs, plan, shape, start)
     }
 
     /// The cache-off batch path: one private state is still shared by the
@@ -1968,6 +1755,7 @@ impl Dtas {
         &self,
         distinct: &[&ComponentSpec],
         state: &mut SharedState,
+        shape: (FilterPolicy, usize),
         start: Instant,
     ) -> Vec<Result<Arc<DesignSet>, SynthError>> {
         let mut plan = self.expand_batch(distinct, state);
@@ -1978,15 +1766,23 @@ impl Dtas {
             &state.space,
             fronts,
             &state.models,
+            shape,
             start,
         );
         state.fronts = solved;
-        self.finish_batch(distinct, plan, start)
+        self.finish_batch(distinct, plan, shape, start)
     }
 
     /// Expands every spec of a batch into `state`'s space, splitting the
     /// indices into solvable roots, taint-affected specs (cold fallback),
     /// and expansion failures (resolved on the spot).
+    ///
+    /// Mutually-recursive rules drop whichever template closes a cycle, so
+    /// nodes expanded under an *earlier* root may carry a different root's
+    /// cuts; a spec whose subgraph reaches any such pre-existing node is
+    /// tainted and solved from a cold space instead (identical to a fresh
+    /// engine). The frozen result is spec-keyed, so it is safe to memoize
+    /// either way.
     fn expand_batch(&self, specs: &[&ComponentSpec], state: &mut SharedState) -> BatchPlan {
         let mut plan = BatchPlan {
             results: vec![None; specs.len()],
@@ -2005,8 +1801,9 @@ impl Dtas {
     }
 
     /// Solves all of a plan's roots in **one** level-scheduled pass and
-    /// assembles each design set; returns the grown front store for the
-    /// caller to merge or keep.
+    /// assembles each design set under the root `shape`; returns the grown
+    /// front store for the caller to merge or keep.
+    #[allow(clippy::too_many_arguments)]
     fn solve_batch(
         &self,
         specs: &[&ComponentSpec],
@@ -2014,6 +1811,7 @@ impl Dtas {
         space: &DesignSpace,
         fronts: FrontStore,
         models: &SpecModelCache,
+        (root_filter, root_cap): (FilterPolicy, usize),
         start: Instant,
     ) -> FrontStore {
         let root_ids: Vec<usize> = plan.roots.iter().map(|&(_, root)| root).collect();
@@ -2028,8 +1826,8 @@ impl Dtas {
                     space,
                     &mut solver,
                     models,
-                    self.config.root_filter,
-                    self.config.root_cap,
+                    root_filter,
+                    root_cap,
                     start,
                 )
                 .map(Arc::new),
@@ -2038,17 +1836,18 @@ impl Dtas {
         solver.into_front_store()
     }
 
-    /// Resolves a plan's taint-affected specs from cold state (like
-    /// `synthesize` does) and unwraps the per-slot results.
+    /// Resolves a plan's taint-affected specs from a fresh state under the
+    /// same root `shape` (a fresh state has no earlier nodes, so the retry
+    /// cannot be tainted again) and unwraps the per-slot results.
     fn finish_batch(
         &self,
         specs: &[&ComponentSpec],
         mut plan: BatchPlan,
+        shape: (FilterPolicy, usize),
         start: Instant,
     ) -> Vec<Result<Arc<DesignSet>, SynthError>> {
         for &i in &plan.tainted {
-            let mut cold = SharedState::default();
-            plan.results[i] = Some(self.synthesize_in(specs[i], &mut cold, start).map(Arc::new));
+            plan.results[i] = Some(self.solve_cold(specs[i], shape, start));
         }
         plan.results
             .into_iter()
@@ -2279,24 +2078,6 @@ mod tests {
         assert_eq!((stats.hits, stats.misses), (1, 1));
         // Error cells are not counted as cached results.
         assert_eq!(stats.cached_results, 0);
-    }
-
-    #[test]
-    fn deprecated_entry_points_still_answer() {
-        #![allow(deprecated)]
-        let engine = engine();
-        let owned = engine.synthesize(&add_spec(16)).unwrap();
-        let shared = engine.synthesize_shared(&add_spec(16)).unwrap();
-        assert_eq!(owned.alternatives.len(), shared.alternatives.len());
-        let via_request = engine
-            .synthesize_request(&SynthRequest::new(add_spec(16)))
-            .unwrap();
-        assert_eq!(owned.alternatives.len(), via_request.alternatives.len());
-        let batch = engine.synthesize_batch(&[add_spec(16)]);
-        assert_eq!(
-            batch[0].as_ref().unwrap().alternatives.len(),
-            owned.alternatives.len()
-        );
     }
 
     #[test]

@@ -1061,10 +1061,15 @@ fn cmd_flow(args: &Args) -> Result<(), BridgeError> {
     }
     let linked = controlled.link()?;
     let library = load_book(args.value_of("book")?)?;
-    let mapped = match args.value_of("cache-dir")? {
-        Some(dir) => linked.map_cached(library, dir)?,
-        None => linked.map(&Dtas::new(library))?,
+    // With --cache-dir, a snapshot from an earlier run answers repeated
+    // components and this mapping's state is flushed back; `checkpoint`
+    // is a no-op without a bound store.
+    let engine = match args.value_of("cache-dir")? {
+        Some(dir) => Dtas::warm_start(library, dir),
+        None => Dtas::new(library),
     };
+    let mapped = linked.map(&engine)?;
+    engine.checkpoint().map_err(BridgeError::Store)?;
     if json {
         let components: Vec<String> = mapped
             .mapping()

@@ -36,11 +36,10 @@
 //!   lowered generators and maps sample components.
 
 use cells::databook::ParseBookError;
-use cells::CellLibrary;
 use controlc::{compile_controller, link, ControlError, Controller};
 use dtas::{
-    DesignSet, Dtas, DtasService, LintRegistry, LintReport, LintTarget, ServiceError, Severity,
-    StoreError, SynthError, SynthRequest, WireError,
+    DesignSet, Dtas, LintRegistry, LintReport, LintTarget, ServiceError, Severity, StoreError,
+    SynthError, WireError,
 };
 use genus::behavior::{Env, EvalError};
 use genus::component::GenerateError;
@@ -559,59 +558,6 @@ impl LinkedFlow {
             linked: self,
             mapping,
         })
-    }
-
-    /// Like [`map`](Self::map), but through a running [`DtasService`]:
-    /// every distinct component is submitted as one bulk-lane batch and
-    /// the tickets are collected, so the mapping competes fairly with the
-    /// service's other traffic — interactive queries overtake it, and
-    /// admission control applies instead of unbounded queueing.
-    ///
-    /// # Errors
-    ///
-    /// [`BridgeError::Overloaded`] when admission refuses or sheds a
-    /// component under load (retry later, or against a service with a
-    /// deeper queue), [`BridgeError::Synth`] on the first unmappable
-    /// component, [`BridgeError::Flow`] when the service is shutting
-    /// down.
-    pub fn map_service(self, service: &DtasService) -> Result<MappedFlow, BridgeError> {
-        let census = self.netlist.spec_census();
-        let requests: Vec<SynthRequest> = census
-            .values()
-            .map(|(component, _count)| SynthRequest::new(component.spec().clone()))
-            .collect();
-        let tickets = service.submit_batch(requests);
-        let mut mapping = BTreeMap::new();
-        for (key, ticket) in census.into_keys().zip(tickets) {
-            let outcome = ticket?.recv()?;
-            mapping.insert(key, outcome.design.clone());
-        }
-        Ok(MappedFlow {
-            linked: self,
-            mapping,
-        })
-    }
-
-    /// Like [`map`](Self::map), but through an engine warm-started from
-    /// `cache_dir` (the `dtas --cache-dir` flag routes here): a snapshot
-    /// from an earlier run answers repeated components from the memo, the
-    /// state grown by this mapping is flushed back before returning, and
-    /// an incompatible or damaged snapshot silently degrades to a cold
-    /// solve.
-    ///
-    /// # Errors
-    ///
-    /// [`BridgeError::Synth`] on the first unmappable component and
-    /// [`BridgeError::Store`] when the flush-back fails.
-    pub fn map_cached(
-        self,
-        library: CellLibrary,
-        cache_dir: impl Into<std::path::PathBuf>,
-    ) -> Result<MappedFlow, BridgeError> {
-        let engine = Dtas::warm_start(library, cache_dir);
-        let mapped = self.map(&engine)?;
-        engine.checkpoint().map_err(BridgeError::Store)?;
-        Ok(mapped)
     }
 }
 

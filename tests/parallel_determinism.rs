@@ -226,6 +226,7 @@ mod cyclic {
     use dtas::{Rule, Signal, TemplateBuilder};
 
     pub struct StyleSwap {
+        pub kind: ComponentKind,
         pub from: &'static str,
         pub to: &'static str,
     }
@@ -235,19 +236,17 @@ mod cyclic {
             "style-swap"
         }
         fn doc(&self) -> &str {
-            "test-only: rewrap a delay in the opposite style"
+            "test-only: rewrap a width-4 spec in the opposite style"
         }
         fn expand(&self, spec: &ComponentSpec) -> Vec<NetlistTemplate> {
-            if spec.kind != ComponentKind::Delay
-                || spec.width != 4
-                || spec.style.as_deref() != Some(self.from)
+            if spec.kind != self.kind || spec.width != 4 || spec.style.as_deref() != Some(self.from)
             {
                 return vec![];
             }
             let mut t = TemplateBuilder::new(self.name());
             t.module(
                 "u",
-                delay(self.to),
+                styled(self.kind, self.to),
                 vec![("I", Signal::parent("I"))],
                 vec![("O", "o", 4)],
             );
@@ -256,24 +255,47 @@ mod cyclic {
         }
     }
 
+    pub fn styled(kind: ComponentKind, style: &str) -> ComponentSpec {
+        ComponentSpec::new(kind, 4).with_style(style)
+    }
+
     pub fn delay(style: &str) -> ComponentSpec {
-        ComponentSpec::new(ComponentKind::Delay, 4).with_style(style)
+        styled(ComponentKind::Delay, style)
     }
 
     pub fn engine() -> Dtas {
-        let mut lib = CellLibrary::new("delay-only");
-        lib.insert(Cell::new(
-            "DEL4",
-            ComponentSpec::new(ComponentKind::Delay, 4),
-            5.0,
-            1.0,
-        ));
+        engine_with(
+            ComponentKind::Delay,
+            &[("DEL4", 5.0, 1.0)],
+            DtasConfig::default(),
+        )
+    }
+
+    /// The cyclic rules over `kind`, with a library of width-4 `kind`
+    /// cells `(name, area, delay)`.
+    pub fn engine_with(
+        kind: ComponentKind,
+        cells: &[(&str, f64, f64)],
+        config: DtasConfig,
+    ) -> Dtas {
+        let mut lib = CellLibrary::new("cyclic");
+        for &(name, area, delay) in cells {
+            lib.insert(Cell::new(name, ComponentSpec::new(kind, 4), area, delay));
+        }
         let mut rules = RuleSet::standard();
         rules.append_library_rules(vec![
-            Box::new(StyleSwap { from: "A", to: "B" }),
-            Box::new(StyleSwap { from: "B", to: "A" }),
+            Box::new(StyleSwap {
+                kind,
+                from: "A",
+                to: "B",
+            }),
+            Box::new(StyleSwap {
+                kind,
+                from: "B",
+                to: "A",
+            }),
         ]);
-        Dtas::builder(lib).rules(rules).build()
+        Dtas::builder(lib).rules(rules).config(config).build()
     }
 }
 
@@ -317,6 +339,47 @@ fn cyclic_rules_stay_query_order_independent() {
     // Tainted queries are never memoized: repeats stay correct too.
     let again = shared.run(cyclic::delay("B")).unwrap();
     assert_eq!(common::fingerprint(&again), common::fingerprint(&fresh_b));
+}
+
+#[test]
+fn taint_fallback_keeps_the_request_root_shape() {
+    // Two Schmitt-trigger cells with opposite area/delay give B a
+    // two-point root front (a delay would map to a free wire), so a front
+    // cap of 1 is visible in the answer. Every path that reaches the taint
+    // fallback (a shared engine after A, and a batch where A expands
+    // first) and the cache-off path must answer exactly like a fresh
+    // engine given the same capped request.
+    let kind = ComponentKind::SchmittTrigger;
+    let cells = [("SCH4F", 5.0, 1.0), ("SCH4S", 2.0, 3.0)];
+    let engine = |config| cyclic::engine_with(kind, &cells, config);
+    let (a, b) = (cyclic::styled(kind, "A"), cyclic::styled(kind, "B"));
+    let capped = || dtas::SynthRequest::new(b.clone()).with_front_cap(1);
+    let uncapped = engine(DtasConfig::default()).run(&b).unwrap();
+    assert!(uncapped.alternatives.len() >= 2, "B needs two root points");
+    let fresh = engine(DtasConfig::default()).run(capped()).unwrap();
+    assert_eq!(fresh.alternatives.len(), 1);
+
+    let shared = engine(DtasConfig::default());
+    shared.run(&a).unwrap();
+    let after_a = shared.run(capped()).unwrap();
+    assert_eq!(common::fingerprint(&after_a), common::fingerprint(&fresh));
+
+    let cache_off = engine(DtasConfig {
+        cache: false,
+        ..DtasConfig::default()
+    });
+    cache_off.run(&a).unwrap();
+    let cold = cache_off.run(capped()).unwrap();
+    assert_eq!(common::fingerprint(&cold), common::fingerprint(&fresh));
+
+    // A batch carries the configured shape; B expands under A here.
+    let batch_engine = engine(DtasConfig {
+        root_cap: 1,
+        ..DtasConfig::default()
+    });
+    let batch = batch_engine.run_batch(&[a, b]);
+    let batch_b = batch[1].as_ref().unwrap();
+    assert_eq!(common::fingerprint(batch_b), common::fingerprint(&fresh));
 }
 
 /// The old BTreeMap policy-merge semantics, kept as the reference model.
